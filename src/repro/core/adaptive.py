@@ -32,9 +32,9 @@ engine:
 
 Determinism contract: all scheduling decisions (round targets, funding
 order, stopping) are made centrally from per-row statistics, and every
-measurement block is drawn through
-:meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch` with a
-cumulative target length that is a pure function of those decisions.
+measurement block is drawn through the batched fast path
+(:func:`measure_requests`) with a cumulative target length that is a
+pure function of those decisions.
 Results are therefore bit-identical for any worker sharding
 (``tests/differential/test_adaptive.py`` asserts ``--jobs 1`` == ``--jobs
 4``). Trial counts are *modeled hardware cost* (what Appendix A prices),
@@ -617,10 +617,10 @@ def measure_requests(
 
     Requests are grouped by (bank, configuration, cumulative length) so
     each group costs one :meth:`~repro.core.rdt.FastRdtMeter.guess_rdt_batch`
-    probe and one
-    :meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch` call. Per-row
-    results are independent of grouping (the fastfaults contract), so any
-    sharding of ``requests`` returns identical values.
+    probe, whose guesses both answer the requests and set the series
+    sweeps (:meth:`~repro.core.rdt.FastRdtMeter.measure_series_at_guesses`).
+    Per-row results are independent of grouping (the fastfaults contract),
+    so any sharding of ``requests`` returns identical values.
     """
     groups: Dict[Tuple[int, TestConfig, int], List[MeasureRequest]] = {}
     for request in requests:
@@ -636,7 +636,9 @@ def measure_requests(
         module.set_temperature(config.temperature_c)
         rows = [row for _, _, row, _, _, _ in group]
         guesses = meter.guess_rdt_batch(rows, config)
-        series_list = meter.measure_series_batch(rows, config, stop)
+        series_list = meter.measure_series_at_guesses(
+            rows, config, stop, guesses
+        )
         for (key, _, _, _, start, _), guess, series in zip(
             group, guesses, series_list
         ):

@@ -267,8 +267,9 @@ class FastRdtMeter:
     ) -> np.ndarray:
         """:meth:`guess_rdt` for many victims in one call, bit-identical.
 
-        Routes through the fault model's batched probe, which mirrors the
-        per-row process construction and guess draws without materializing
+        Routes through the fault model's batched probe, which serves the
+        guesses from the bank's packed
+        :class:`~repro.dram.fastfaults.BankVrdState` without materializing
         :class:`~repro.dram.faults.RowVrdProcess` objects (or warming the
         module's per-row process cache). Row selection probes thousands of
         rows per module; this is its fast path.
@@ -317,28 +318,40 @@ class FastRdtMeter:
         fast path.
 
         Bit-identical to looping ``guess_rdt`` + ``measure_series`` per
-        victim: guesses come from the batched probe mirror and latent
-        series from the packed :class:`~repro.dram.fastfaults.BankVrdState`,
-        both stream-exact against the scalar
+        victim: guesses (:meth:`guess_rdt_batch`) and latent series both
+        come from one packed :class:`~repro.dram.fastfaults.BankVrdState`,
+        stream-exact against the scalar
         :class:`~repro.dram.faults.RowVrdProcess` route. This is what the
         campaign loop and the engine workers consume.
         """
         victims = list(victims)
         if not victims:
             return []
+        guesses = self.guess_rdt_batch(victims, config, guess_repeats)
+        return self.measure_series_at_guesses(
+            victims, config, n, guesses, stream=stream
+        )
+
+    def measure_series_at_guesses(
+        self,
+        victims: Sequence[int],
+        config: TestConfig,
+        n: int,
+        guesses: Sequence[float],
+        stream: str = "series",
+    ) -> List[RdtSeries]:
+        """:meth:`measure_series_batch` with each victim's RDT guess
+        already known (``guesses[k]`` for ``victims[k]``), for callers that
+        use the guesses themselves."""
+        victims = list(victims)
         recorder = obs.active()
         if recorder.enabled:
             recorder.counter_add("rdt.series.fast_batch", len(victims))
             recorder.counter_add("rdt.measurements", len(victims) * n)
-        condition = self._condition(config)
         mapping = self.module.bank(self.bank).mapping
         physical = [mapping.to_physical(victim) for victim in victims]
-        model = self.module.fault_model
-        guesses = model.probe_guess_means(
-            self.bank, physical, condition, repeats=guess_repeats
-        )
-        latent = model.latent_series_bank(
-            self.bank, physical, condition, n, stream=stream
+        latent = self.module.fault_model.latent_series_bank(
+            self.bank, physical, self._condition(config), n, stream=stream
         )
         series: List[RdtSeries] = []
         for index, victim in enumerate(victims):

@@ -78,8 +78,9 @@ class CellLayout:
     def bits_are_true_cells(self, row: int, bits: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`bit_is_true_cell` over an array of bit indices.
 
-        Element-for-element equal to the scalar method; the batched row
-        probe uses this to classify a row's weak cells in one shot.
+        Element-for-element equal to the scalar method;
+        :class:`~repro.dram.fastfaults.BankVrdState` uses this to classify
+        a row's weak cells in one call.
         """
         bits = np.asarray(bits)
         if bits.size and int(bits.min()) < 0:

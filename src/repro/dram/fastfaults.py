@@ -11,12 +11,10 @@ the same ``numpy.random.Generator`` streams draw for draw.
 
 :class:`BankVrdState` packs the trap parameters, condition-response
 coefficients, and weak-cell tables of many rows into flat arrays once, then
-serves whole-bank latent-series queries (what ``module_campaign``, the
-Fig. 3-7 histograms/ACF, and the Fig. 25 scatter consume) without
-re-deriving per-row state. The per-row series itself is generated by a
-mirror of ``traps.sample_occupancy_series`` that replaces the scalar
-``rng.geometric`` search recurrence with a precomputed cumulative
-run-length table and one ``np.searchsorted`` per batch.
+serves whole-bank latent-series queries (row-selection guesses, what
+``module_campaign``, the Fig. 3-7 histograms/ACF, and the Fig. 25 scatter
+consume) without re-deriving per-row state. It is the only fast mirror of
+the row constructor; ``RowVrdProcess`` stays the oracle.
 
 The stream-mirror rule
 ----------------------
@@ -24,10 +22,10 @@ The stream-mirror rule
 Anything that draws from a ``Generator`` in ``RowVrdProcess.__init__``,
 ``latent_series``, or the sequential path (``_state`` /
 ``begin_measurement`` / ``_refresh_latent`` / ``trial_flips``) MUST be
-mirrored here (and in ``faults.probe_guess_means``) in the exact same draw
-order, because numpy Generators consume their bit stream
-element-sequentially: a run of scalar draws equals one array draw of the
-same distributions, and vice versa. The mirrors used here are:
+mirrored here in the exact same draw order, because numpy Generators
+consume their bit stream element-sequentially: a run of scalar draws
+equals one array draw of the same distributions, and vice versa. The
+mirrors used here are:
 
 * ``standard_normal(k) * sigmas`` for a run of ``normal(0, sigma_i)``
   draws (``loc + scale * z`` with ``loc == 0``);
@@ -36,17 +34,20 @@ same distributions, and vice versa. The mirrors used here are:
   ``T`` is the cumulative table of the search recurrence, built with the
   same sequential IEEE operations by ``np.multiply.accumulate`` /
   ``np.add.accumulate`` (see :func:`_build_run_tables`);
+* for series of at most 16 measurements (row-selection guesses), a pure
+  Python walk of the same search recurrence over bulk uniforms, computed
+  only until the series is covered (see :func:`_short_occupancy`);
 * everything else falls back to the reference's own numpy calls with
   identical argument arrays.
 
-The searchsorted shortcut is gated on
+The searchsorted tables and the short walk are gated on
 :func:`repro.dram.faults.geometric_mirror_ok` (a once-per-process probe of
-numpy's private geometric sampler, overridable with
-``VRD_GEOMETRIC_MIRROR``); when the mirror is off, run lengths come from
-``rng.geometric`` itself — slower, still bit-identical.
+numpy's private geometric sampler); when the mirror is off, run lengths
+come from ``rng.geometric`` itself — slower, still bit-identical.
 
-``tests/dram/test_fastfaults.py`` asserts exact equality against the
-scalar path across patterns, tAggOn, temperatures, voltages, and both
+``tests/dram/test_fastfaults.py`` and the ``fastfaults``/``guess`` pairs of
+``tests/differential/`` assert exact equality against the scalar path
+across patterns, tAggOn, temperatures, voltages, cell layouts, and both
 series streams, plus the sequential begin/threshold/flip trials.
 """
 
@@ -60,6 +61,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from repro import obs
+from repro.dram.cells import CellLayout
 from repro.dram.faults import (
     PATTERN_VICTIM_BYTE,
     REFERENCE_T_AGG_ON,
@@ -70,7 +72,7 @@ from repro.dram.faults import (
     VrdModelParams,
     geometric_mirror_ok,
 )
-from repro.dram.traps import _MAX_P, _MIN_P
+from repro.dram.traps import _MAX_P, _MIN_P, expand_runs
 from repro.errors import ConfigurationError
 from repro.rng import encode_element, hasher_prefix, seed_from_prefix
 
@@ -86,6 +88,11 @@ _RUN_TABLE_K = 128
 #: table whose final entry reaches this covers every drawable uniform, so
 #: ``searchsorted`` can never fall off its end.
 _MAX_UNIFORM = 1.0 - 2.0 ** -53
+
+#: Longest series served by :func:`_short_occupancy`: every trap's first
+#: geometric batch holds at least 16 runs of length >= 1, so it always
+#: covers the series.
+_SHORT_SERIES = 16
 
 # Prebuilt alternating-state template: sample_occupancy_series fills a
 # fresh bool array with [state, not state, state, ...] per batch; slicing a
@@ -133,42 +140,47 @@ class _TrapPlan:
     Raw transition probabilities feed the stationary distribution and the
     sequential path (``Trap.step`` uses them unclamped); the clamped pair
     feeds run-length sampling, mirroring ``sample_occupancy_series``.
-    ``table_occ``/``table_rel`` are the searchsorted run tables, or ``None``
-    when this trap must use ``rng.geometric`` directly (inversion-branch
-    probability, unsaturated table, or mirror disabled).
+    ``search`` marks a trap whose clamped pair both sit on the geometric
+    search branch. ``table_occ``/``table_rel`` are the searchsorted run
+    tables, or ``None`` when this trap must use ``rng.geometric`` directly
+    (inversion-branch probability, unsaturated table, mirror disabled, or
+    tables not built yet).
     """
 
     __slots__ = (
         "depth", "p_occupy", "p_release", "p_occ", "p_rel",
-        "stationary", "mean_run", "table_occ", "table_rel",
+        "stationary", "mean_run", "search", "table_occ", "table_rel",
     )
 
     def __init__(self, depth: float, p_occupy: float, p_release: float):
         self.depth = depth
         self.p_occupy = p_occupy
         self.p_release = p_release
-        self.p_occ = min(max(p_occupy, _MIN_P), _MAX_P)
-        self.p_rel = min(max(p_release, _MIN_P), _MAX_P)
+        self.p_occ = p_occ = min(max(p_occupy, _MIN_P), _MAX_P)
+        self.p_rel = p_rel = min(max(p_release, _MIN_P), _MAX_P)
         self.stationary = p_occupy / (p_occupy + p_release)
-        self.mean_run = 0.5 * (1.0 / self.p_occ + 1.0 / self.p_rel)
+        self.mean_run = 0.5 * (1.0 / p_occ + 1.0 / p_rel)
+        self.search = p_occ >= _GEOM_SEARCH_P and p_rel >= _GEOM_SEARCH_P
         self.table_occ: Optional[np.ndarray] = None
         self.table_rel: Optional[np.ndarray] = None
+
+    def batch(self, remaining: int) -> int:
+        """Geometric batch size for ``remaining`` uncovered measurements
+        (``sample_occupancy_series``'s sizing rule)."""
+        return max(16, int(remaining / self.mean_run * 1.5) + 8)
 
 
 def _attach_run_tables(plans: Sequence[_TrapPlan]) -> None:
     """Give every eligible plan its searchsorted run tables, in one batch.
 
-    Eligible means both clamped probabilities sit on the geometric search
-    branch (``p >= 1/3``) and the process-wide mirror probe passed; a trap
-    whose built table does not saturate to :data:`_MAX_UNIFORM` keeps
-    ``None`` tables and takes the direct ``rng.geometric`` route.
+    Eligible means a search-branch plan while the process-wide mirror probe
+    passed; a trap whose built table does not saturate to
+    :data:`_MAX_UNIFORM` keeps ``None`` tables and takes the direct
+    ``rng.geometric`` route.
     """
     if not geometric_mirror_ok():
         return
-    eligible = [
-        plan for plan in plans
-        if plan.p_occ >= _GEOM_SEARCH_P and plan.p_rel >= _GEOM_SEARCH_P
-    ]
+    eligible = [plan for plan in plans if plan.search]
     if not eligible:
         return
     ps = np.empty(2 * len(eligible))
@@ -193,11 +205,10 @@ def _trap_column(plan: _TrapPlan, n: int, rng: Generator) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=bool)
     state = rng.random() < plan.stationary
-    mean_run = plan.mean_run
     states_list = None
     covered = 0
     while True:
-        batch = max(16, int((n - covered) / mean_run * 1.5) + 8)
+        batch = plan.batch(n - covered)
         if plan.table_occ is not None:
             table_a = plan.table_rel if state else plan.table_occ
             table_b = plan.table_occ if state else plan.table_rel
@@ -217,17 +228,101 @@ def _trap_column(plan: _TrapPlan, n: int, rng: Generator) -> np.ndarray:
         state = not bool(batch_states[-1])
         if states_list is None:
             if covered >= n:  # single-batch common case
-                return np.repeat(batch_states, batch_lengths)[:n]
+                return expand_runs(batch_states, batch_lengths, n, covered)
             states_list = [batch_states]
             lengths_list = [batch_lengths]
         else:
             states_list.append(batch_states)
             lengths_list.append(batch_lengths)
             if covered >= n:
-                return np.repeat(
+                return expand_runs(
                     np.concatenate(states_list),
                     np.concatenate(lengths_list),
-                )[:n]
+                    n,
+                    covered,
+                )
+
+
+def _short_occupancy(
+    plans: Sequence[_TrapPlan], n: int, rng: Generator
+) -> np.ndarray:
+    """``np.stack([_trap_column(plan, n, rng) for plan in plans], axis=1)``
+    for ``1 <= n <= 16``, with the run-length expansion in plain Python.
+
+    Every trap draws its initial-state uniform and then exactly one
+    geometric batch, which covers the series. A search-branch trap (both
+    probabilities ``>= 1/3``) consumes one uniform per batch element — a
+    straight run of ``next_double`` calls that one bulk ``rng.random()``
+    serves for whole stretches of adjacent such traps, including the next
+    trap's initial-state gate; its run lengths then follow numpy's search
+    recurrence verbatim, computed only until the series is covered. Any
+    other trap takes the reference's own ``rng.geometric`` call.
+    Requires :func:`repro.dram.faults.geometric_mirror_ok`.
+    """
+    n_traps = len(plans)
+    columns: List[List[bool]] = []
+    k = 0
+    while k < n_traps:
+        stretch = k
+        batches = []
+        while stretch < n_traps and plans[stretch].search:
+            batches.append(plans[stretch].batch(n))
+            stretch += 1
+        # One bulk draw: each search trap's gate and batch, then the next
+        # trap's initial-state gate.
+        total = len(batches) + sum(batches) + (stretch < n_traps)
+        bulk = rng.random(total).tolist() if total > 1 else [rng.random()]
+        offset = 0
+        for plan, batch in zip(plans[k:stretch], batches):
+            state = bulk[offset] < plan.stationary
+            # Leave probabilities alternate with the run state.
+            a, b = (plan.p_rel, plan.p_occ) if state else (plan.p_occ, plan.p_rel)
+            column: List[bool] = []
+            covered = 0
+            element = 0
+            while covered < n:
+                u = bulk[offset + 1 + element]
+                total_p = prod = b if element & 1 else a
+                q = 1.0 - total_p
+                length = 1
+                while u > total_p:
+                    prod *= q
+                    total_p += prod
+                    length += 1
+                length = min(length, n - covered)
+                column += [state] * length
+                covered += length
+                state = not state
+                element += 1
+            columns.append(column)
+            offset += 1 + batch
+        k = stretch
+        if k == n_traps:
+            break
+        plan = plans[k]
+        state = bulk[offset] < plan.stationary
+        leave = np.empty(plan.batch(n))
+        leave[0::2] = plan.p_rel if state else plan.p_occ
+        leave[1::2] = plan.p_occ if state else plan.p_rel
+        column = []
+        covered = 0
+        for length in rng.geometric(leave).tolist():
+            length = min(length, n - covered)
+            column += [state] * length
+            covered += length
+            if covered == n:
+                break
+            state = not state
+        if covered < n:
+            # Only zero-length inversion draws (standard_exponential() ==
+            # 0.0, ~2**-64) get here; the reference would continue with a
+            # second batch, so fail loudly rather than diverge.
+            raise ConfigurationError("short series walk under-covered a trap")
+        columns.append(column)
+        k += 1
+    # The reference stacks per-trap columns into a C-ordered (n, traps)
+    # matrix; the same layout keeps the matmul that follows bit-identical.
+    return np.array(list(zip(*columns)), dtype=bool)
 
 
 class _SeqRowState:
@@ -246,11 +341,13 @@ class BankVrdState:
     """All rows of one bank, packed for bulk device-model queries.
 
     Construction mirrors ``RowVrdProcess.__init__`` draw for draw per row
-    (reusing the batched-normal technique of ``faults.probe_guess_means``)
     and stores the results columnar: base RDTs, residual sigmas, jittered
-    condition-response coefficients, weak-cell bit/margin/polarity tables,
-    and per-trap sampling plans. Condition factors are then resolved once
-    per canonical condition for every row at once, and
+    condition-response coefficients, weak-cell bit/margin tables, and
+    per-trap sampling plans. Only the draws run per row; the arithmetic
+    on them runs once over whole columns, with the reference's elementwise
+    operation order. Weak-cell polarity and the searchsorted run tables
+    are built on first need. Condition factors are then resolved once per
+    canonical condition for every row at once, and
     :meth:`latent_series_bulk` emits a whole bank's series matrix.
 
     The sequential path (:meth:`begin_measurement` /
@@ -282,6 +379,7 @@ class BankVrdState:
         self.rows: Tuple[int, ...] = tuple(int(row) for row in rows)
         n_rows = len(self.rows)
         self._index_of = {row: index for index, row in enumerate(self.rows)}
+        self._true_cell_lookup = true_cell_lookup
 
         row_prefix = hasher_prefix(seed, "vrd-row", module_id, bank)
         self._series_prefix = hasher_prefix(seed, "vrd-series", module_id, bank)
@@ -291,10 +389,9 @@ class BankVrdState:
         # ---- constants of the per-row constructor mirror
         depth_keys = list(params.pattern_depth)
         rdt_keys = list(params.pattern_rdt)
-        depth_values = [params.pattern_depth[key] for key in depth_keys]
-        rdt_values = [params.pattern_rdt[key] for key in rdt_keys]
         # One batched standard_normal covers the constructor's run of
-        # scalar normal draws (see probe_guess_means for the argument).
+        # scalar normal draws (sigma_resid, pattern depth/rdt jitters,
+        # taggon slope, temp coeff).
         normal_sigmas = np.array(
             [0.4] + [0.30] * len(depth_keys) + [0.02] * len(rdt_keys) + [0.01, 0.3]
         )
@@ -304,24 +401,19 @@ class BankVrdState:
         log_big_lo = np.log(0.002)
         log_big_hi = np.log(0.2)
         n_cells = params.weak_cells
-        growth = 2.0 ** np.arange(n_cells)
         small_scale = params.depth_scale * params.severity
 
         base_rdt = np.empty(n_rows)
-        sigma_resid = np.empty(n_rows)
-        slope_col = np.empty(n_rows)
-        temp_depth_col = np.empty(n_rows)
+        coupling_col = np.empty(n_rows)
         penalty_col = np.empty(n_rows)
-        pattern_depth_cols = {key: np.empty(n_rows) for key in depth_keys}
-        pattern_rdt_cols = {key: np.empty(n_rows) for key in rdt_keys}
+        normals = np.empty((n_rows, len(normal_sigmas)))
         weak_bits = np.empty((n_rows, n_cells), dtype=np.int64)
-        weak_margins = np.empty((n_rows, n_cells))
-        weak_true = np.empty((n_rows, n_cells), dtype=bool)
+        gaps = np.empty((n_rows, n_cells))
         row_plans: List[List[_TrapPlan]] = []
         row_depths: List[np.ndarray] = []
 
-        for index, row in enumerate(self.rows):
-            rng = Generator(PCG64(seed_from_prefix(row_prefix, self._row_tails[index])))
+        for index, tail in enumerate(self._row_tails):
+            rng = Generator(PCG64(seed_from_prefix(row_prefix, tail)))
 
             # -- draw mirror of RowVrdProcess.__init__ -------------------
             base = float(params.mean_rdt * np.exp(rng.normal(0.0, params.spatial_sigma)))
@@ -354,78 +446,91 @@ class BankVrdState:
                     depth, max(1e-6, speed * pi), max(1e-6, speed * (1.0 - pi))
                 ))
 
-            normals = rng.standard_normal(len(normal_sigmas)) * normal_sigmas
-            exp_normals = np.exp(normals)
-            sigma_resid[index] = params.sigma_resid * coupling * float(exp_normals[0])
-            for j, key in enumerate(depth_keys):
-                pattern_depth_cols[key][index] = (
-                    depth_values[j] * float(exp_normals[1 + j])
-                )
-            for j, key in enumerate(rdt_keys):
-                pattern_rdt_cols[key][index] = (
-                    rdt_values[j] * float(exp_normals[1 + len(depth_keys) + j])
-                )
-            slope_col[index] = params.taggon_depth_slope + float(normals[i_slope])
-            temp_depth_col[index] = (
-                params.temp_depth_coeff * float(exp_normals[i_slope + 1])
-            )
-
-            positions = rng.choice(row_bits, size=n_cells, replace=False)
-            bits = np.sort(positions.astype(np.int64))
+            normals[index] = rng.standard_normal(len(normal_sigmas))
+            bits = np.sort(rng.choice(row_bits, size=n_cells, replace=False))
             rng.shuffle(bits)
-            gaps = rng.exponential(params.cell_margin_scale, n_cells)
-            gaps = gaps * growth
-            gaps[0] = 0.0
             weak_bits[index] = bits
-            weak_margins[index] = np.cumsum(gaps)
-            if true_cell_lookup is None:
-                weak_true[index] = True
-            else:
-                weak_true[index] = [
-                    true_cell_lookup(row, int(bit)) for bit in bits
-                ]
-            penalty_col[index] = float(rng.uniform(0.03, 0.15))
+            gaps[index] = rng.exponential(params.cell_margin_scale, n_cells)
+            penalty_col[index] = rng.uniform(0.03, 0.15)
             # -- end of the constructor mirror ---------------------------
 
             base_rdt[index] = base
+            coupling_col[index] = coupling
             row_plans.append(plans)
             row_depths.append(np.array([plan.depth for plan in plans]))
 
-        all_plans = [plan for plans in row_plans for plan in plans]
-        _attach_run_tables(all_plans)
+        # Column arithmetic, elementwise identical to the per-row scalar
+        # expressions of the constructor (same operands, same order).
+        normals *= normal_sigmas
+        exp_normals = np.exp(normals)
+        gaps *= 2.0 ** np.arange(n_cells)
+        gaps[:, 0] = 0.0
 
         recorder = obs.active()
         if recorder.enabled:
-            mirrored = sum(
-                1 for plan in all_plans if plan.table_occ is not None
-            )
             recorder.counter_add("fastfaults.states_built")
             recorder.counter_add("fastfaults.rows_packed", n_rows)
-            recorder.counter_add("fastfaults.traps.mirror", mirrored)
-            recorder.counter_add(
-                "fastfaults.traps.fallback", len(all_plans) - mirrored
-            )
-            recorder.gauge_set(
-                "faults.geometric_mirror",
-                1.0 if geometric_mirror_ok() else 0.0,
-            )
 
         self.base_rdt = base_rdt
-        self.sigma_resid = sigma_resid
-        self._pattern_depth = pattern_depth_cols
-        self._pattern_rdt = pattern_rdt_cols
-        self._taggon_depth_slope = slope_col
-        self._temp_depth_coeff = temp_depth_col
+        self.sigma_resid = params.sigma_resid * coupling_col * exp_normals[:, 0]
+        self._pattern_depth = {
+            key: params.pattern_depth[key] * exp_normals[:, 1 + j]
+            for j, key in enumerate(depth_keys)
+        }
+        self._pattern_rdt = {
+            key: params.pattern_rdt[key] * exp_normals[:, 1 + len(depth_keys) + j]
+            for j, key in enumerate(rdt_keys)
+        }
+        self._taggon_depth_slope = params.taggon_depth_slope + normals[:, i_slope]
+        self._temp_depth_coeff = params.temp_depth_coeff * exp_normals[:, i_slope + 1]
         self.weak_cell_bits = weak_bits
-        self.weak_cell_margins = weak_margins
-        self.weak_cell_true = weak_true
+        self.weak_cell_margins = np.cumsum(gaps, axis=1)
+        self._weak_cell_true: Optional[np.ndarray] = None
         self.uncharged_penalty = penalty_col
         self._row_plans = row_plans
         self._row_depths = row_depths
+        self._run_tables_built = False
         self._ones = np.ones(n_rows)
         self._factors_cache: Dict[Condition, tuple] = {}
         self._suffix_cache: Dict[Tuple[Condition, str], bytes] = {}
         self._seq_states: Dict[Tuple[int, Condition], _SeqRowState] = {}
+
+    @property
+    def weak_cell_true(self) -> np.ndarray:
+        """Per-row weak-cell polarity (``True`` = true cell), built on
+        first use: one vectorized call per row for a
+        :class:`~repro.dram.cells.CellLayout` lookup, one call per bit for
+        any other callable."""
+        if self._weak_cell_true is None:
+            lookup = self._true_cell_lookup
+            true = np.ones(self.weak_cell_bits.shape, dtype=bool)
+            rows_bits = zip(self.rows, self.weak_cell_bits)
+            if getattr(lookup, "__func__", None) is CellLayout.bit_is_true_cell:
+                layout = lookup.__self__
+                for index, (row, bits) in enumerate(rows_bits):
+                    true[index] = layout.bits_are_true_cells(row, bits)
+            elif lookup is not None:
+                for index, (row, bits) in enumerate(rows_bits):
+                    true[index] = [lookup(row, int(bit)) for bit in bits]
+            self._weak_cell_true = true
+        return self._weak_cell_true
+
+    def _ensure_run_tables(self) -> None:
+        """Attach the searchsorted run tables of every trap (once)."""
+        if self._run_tables_built:
+            return
+        self._run_tables_built = True
+        plans = [plan for plans in self._row_plans for plan in plans]
+        _attach_run_tables(plans)
+        recorder = obs.active()
+        if recorder.enabled:
+            mirrored = sum(1 for plan in plans if plan.table_occ is not None)
+            recorder.counter_add("fastfaults.traps.mirror", mirrored)
+            recorder.counter_add("fastfaults.traps.fallback", len(plans) - mirrored)
+            recorder.gauge_set(
+                "faults.geometric_mirror",
+                1.0 if geometric_mirror_ok() else 0.0,
+            )
 
     # ------------------------------------------------------------------
     # Condition factors, resolved for every row at once
@@ -479,7 +584,7 @@ class BankVrdState:
             bit_values = (byte >> (self.weak_cell_bits % 8)) & 1
             charged = (bit_values == 1) == self.weak_cell_true
         else:
-            charged = np.ones_like(self.weak_cell_true)
+            charged = np.ones(self.weak_cell_bits.shape, dtype=bool)
         margins = self.weak_cell_margins + np.where(
             charged, 0.0, self.uncharged_penalty[:, None]
         )
@@ -531,6 +636,9 @@ class BankVrdState:
         _, depth_factor, _, _, level = self._factors(condition)
         suffix = self._series_suffix(condition, stream)
         indices = self._local_indices(rows)
+        short = 0 < n <= _SHORT_SERIES and geometric_mirror_ok()
+        if not short:
+            self._ensure_run_tables()
         recorder = obs.active()
         if recorder.enabled:
             recorder.counter_add("fastfaults.series_rows", len(indices))
@@ -540,9 +648,20 @@ class BankVrdState:
             srng = Generator(PCG64(seed_from_prefix(
                 self._series_prefix, self._row_tails[i], suffix
             )))
-            out[k] = self._series_row(
-                i, float(depth_factor[i]), float(level[i]), n, srng
-            )
+            plans = self._row_plans[i]
+            if not plans:
+                mult = np.ones(n)
+            else:
+                if short:
+                    occupancy = _short_occupancy(plans, n, srng)
+                else:
+                    occupancy = np.stack(
+                        [_trap_column(plan, n, srng) for plan in plans], axis=1
+                    )
+                effective = np.minimum(self._row_depths[i] * depth_factor[i], 0.95)
+                mult = np.exp(occupancy @ np.log1p(-effective))
+            noise = np.exp(srng.normal(0.0, self.sigma_resid[i], n))
+            out[k] = level[i] * mult * noise
         return out
 
     def latent_series(
@@ -562,32 +681,17 @@ class BankVrdState:
         rows: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Guess-stream series means (the ``guess_rdt`` quantity) per row."""
+        if repeats < 1:
+            raise ConfigurationError(f"guess repeats must be >= 1, got {repeats}")
         samples = self.latent_series_bulk(
             condition, repeats, stream="guess", rows=rows
         )
-        return np.array([float(series.mean()) for series in samples])
-
-    def _series_row(
-        self,
-        i: int,
-        depth_factor: float,
-        level: float,
-        n: int,
-        srng: Generator,
-    ) -> np.ndarray:
-        """Mirror of ``latent_series`` for packed row ``i`` (canonical
-        condition already folded into ``depth_factor``/``level``)."""
-        plans = self._row_plans[i]
-        if not plans:
-            mult = np.ones(n)
-        else:
-            columns = [_trap_column(plan, n, srng) for plan in plans]
-            occupancy = np.stack(columns, axis=1)
-            effective = np.minimum(self._row_depths[i] * depth_factor, 0.95)
-            log_terms = np.log1p(-effective)
-            mult = np.exp(occupancy @ log_terms)
-        noise = np.exp(srng.normal(0.0, float(self.sigma_resid[i]), n))
-        return level * mult * noise
+        recorder = obs.active()
+        if recorder.enabled:
+            recorder.counter_add("faults.probe_rows", len(samples))
+            if repeats > _SHORT_SERIES or not geometric_mirror_ok():
+                recorder.counter_add("faults.probe.fallback")
+        return samples.mean(axis=1)
 
     # ------------------------------------------------------------------
     # Sequential path: bit-level trials on packed state
@@ -677,19 +781,3 @@ class BankVrdState:
             if effective_hammers >= threshold:
                 flips.append(bit)
         return flips
-
-
-def build_bank_state(
-    params: VrdModelParams,
-    row_bits: int,
-    seed: int,
-    module_id: str,
-    bank: int,
-    rows: Sequence[int],
-    true_cell_lookup=None,
-) -> BankVrdState:
-    """Build the packed state of one bank's rows (see :class:`BankVrdState`)."""
-    return BankVrdState(
-        params, row_bits, seed, module_id, bank, rows,
-        true_cell_lookup=true_cell_lookup,
-    )

@@ -22,6 +22,10 @@ from repro.errors import ConfigurationError
 _MIN_P = 1e-9
 _MAX_P = 1.0 - 1e-9
 
+#: Steps a run expansion may reach past the requested length before the
+#: run ends are clamped first (see :func:`expand_runs`).
+_EXPAND_SLACK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Trap:
@@ -118,10 +122,26 @@ def sample_occupancy_series(
         # alternate, so the next one flips the last state.
         state = not bool(batch_states[-1])
 
-    all_states = np.concatenate(states)
-    all_lengths = np.concatenate(lengths)
-    series = np.repeat(all_states, all_lengths)
-    return series[:n]
+    return expand_runs(
+        np.concatenate(states), np.concatenate(lengths), n, covered
+    )
+
+
+def expand_runs(
+    states: np.ndarray, lengths: np.ndarray, n: int, covered: int
+) -> np.ndarray:
+    """``np.repeat(states, lengths)[:n]`` in memory bounded by the
+    requested length.
+
+    ``covered`` is ``lengths.sum()`` (at least ``n``). Run lengths scale
+    with ``1 / p`` (about 1e9 at the ``_MIN_P`` clamp), so when the runs
+    reach more than ``_EXPAND_SLACK`` steps past ``n`` their cumulative
+    ends are clamped at ``n`` before expanding; the ``n`` values are the
+    same either way.
+    """
+    if covered > n + _EXPAND_SLACK:
+        lengths = np.diff(np.minimum(np.cumsum(lengths), n), prepend=0)
+    return np.repeat(states, lengths)[:n]
 
 
 def occupancy_matrix(

@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import TestConfig
-from repro.dram.faults import geometric_mirror_ok
 from repro.dram.module import DramModule
 from repro.errors import ConfigurationError
 from repro.mitigations.para import para_probability
@@ -99,10 +98,8 @@ def exposure_windows(
 
     Bit-identical to ``windows`` successive :func:`exposure_per_window`
     calls on the same generator: the deterministic kinds never touch the
-    RNG, and the geometric kinds use numpy's element-sequential batched
-    sampler (verified by the :func:`repro.dram.faults.geometric_mirror_ok`
-    probe; when that probe fails on an exotic numpy build, this falls back
-    to scalar draws and stays exact).
+    RNG, and ``rng.geometric(p, size=k)`` runs the same per-element
+    sampler as ``k`` scalar ``rng.geometric(p)`` calls.
     """
     if windows < 1:
         raise ConfigurationError("need at least one window")
@@ -122,25 +119,13 @@ def exposure_windows(
         per_hammer = 1.0 - (1.0 - p) ** 2
         if per_hammer >= 1.0:
             return np.full(windows, 1.0)
-        if not geometric_mirror_ok():
-            return np.array(
-                [
-                    min(float(rng.geometric(per_hammer)), max_exposure)
-                    for _ in range(windows)
-                ]
-            )
         draws = rng.geometric(per_hammer, size=windows).astype(float)
         return np.minimum(draws, max_exposure)
     if key == "mint":
         interval = quantize_pow2(threshold / 4.0)
         survive = min(max(mint_dilution, 0.0), 0.999)
         per_interval = interval * (1.0 - survive) / 2.0
-        if not geometric_mirror_ok():
-            intervals = np.array(
-                [float(rng.geometric(1.0 - survive)) for _ in range(windows)]
-            )
-        else:
-            intervals = rng.geometric(1.0 - survive, size=windows).astype(float)
+        intervals = rng.geometric(1.0 - survive, size=windows).astype(float)
         # Same elementwise op order as the scalar expression.
         return np.minimum(intervals * interval / 2.0 + per_interval, max_exposure)
     raise ConfigurationError(f"unknown mitigation kind {kind!r}")

@@ -166,7 +166,7 @@ def test_geometric_mirror_self_check_passes():
     from repro.dram import faults
 
     assert faults._geometric_search_mirror_ok()
-    assert faults._BULK_UNIFORM_OK
+    assert faults.geometric_mirror_ok()
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ name                oracle                              fast path
 engine              serial ``Campaign.run``             ``CampaignEngine`` (2 jobs)
 memsim              ``MemorySystem.run``                ``memsim.fastcore.run_fast``
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
+guess               per-row guess-stream means          ``probe_guess_means`` batch
 bender              scalar ``Interpreter`` trials       compiled trial replay
 ecc                 per-codeword encode/decode          ``encode_batch``/``decode_batch``
 adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
@@ -27,7 +28,9 @@ Cross-protocol variants rerun the fastfaults and bender pairs on catalog
 devices whose geometry exercises DDR5 bank groups (``D0``) and HBM2
 pseudo channels (``Chip0``); the ``checker-*`` pairs run the same
 workload with ``VRD_TIMING_CHECK=1`` forced on versus off, proving the
-opt-in timing validation pass never perturbs a single bit.
+opt-in timing validation pass never perturbs a single bit. The
+``guess-fallback`` pair reruns the guess pair with the geometric-sampler
+mirror forced off, so the direct ``rng.geometric`` route stays exact too.
 """
 
 from __future__ import annotations
@@ -236,6 +239,89 @@ def fastfaults_hbm2_oracle(seed: int) -> tuple:
 
 def fastfaults_hbm2_fast(seed: int) -> tuple:
     return _catalog_fault_series(seed, "Chip0", fast=True)
+
+
+# ----------------------------------------------------------------------
+# guess: per-row scalar guess stream vs the batched guess probe
+# ----------------------------------------------------------------------
+
+#: Guess lengths on both sides of the single-batch cut (n <= 16).
+_GUESS_REPEATS = (1, 10, 16, 17, 64)
+_GUESS_PATTERNS = ("checkered0", "checkered1", "rowstripe0", "rowstripe1", "other")
+
+
+def _guess_lookups():
+    """Every cell layout kind's polarity lookup, plus no lookup (all true
+    cells) and an arbitrary per-bit callable that is not a layout method."""
+    from repro.dram.cells import CellLayout, CellLayoutKind
+
+    lookups = [
+        (kind.value, CellLayout(kind, block_rows=256).bit_is_true_cell)
+        for kind in CellLayoutKind
+    ]
+    lookups.append(("none", None))
+    lookups.append(("callable", lambda row, bit: (row * 7 + bit) % 3 != 0))
+    return lookups
+
+
+def _guess_workload(seed: int):
+    from repro.dram.faults import Condition, VrdModelParams
+
+    pick = random.Random(seed + 13)
+    params = VrdModelParams(mean_rdt=pick.choice([2000.0, 9000.0]))
+    rows = sorted(pick.sample(range(1024), 6))
+    condition = Condition(
+        pick.choice(_GUESS_PATTERNS),
+        t_agg_on=pick.choice([35.0, 7.2, 120.0]),
+        temperature=pick.choice([50.0, 80.0]),
+    )
+    return params, rows, condition
+
+
+def _guess_means(seed: int, fast: bool) -> tuple:
+    from repro.dram.faults import ModuleFaultModel
+
+    params, rows, condition = _guess_workload(seed)
+    outcome = []
+    for name, lookup in _guess_lookups():
+        for repeats in _GUESS_REPEATS:
+            model = ModuleFaultModel(
+                params, 1024, seed, "GUESS", true_cell_lookup=lookup
+            )
+            if fast:
+                means = model.probe_guess_means(1, rows, condition, repeats)
+                values = tuple(float(mean) for mean in means)
+            else:
+                values = tuple(
+                    float(
+                        model.process(1, row)
+                        .latent_series(condition, repeats, stream="guess")
+                        .mean()
+                    )
+                    for row in rows
+                )
+            outcome.append((name, repeats, values))
+    return tuple(outcome)
+
+
+def guess_oracle(seed: int) -> tuple:
+    return _guess_means(seed, fast=False)
+
+
+def guess_fast(seed: int) -> tuple:
+    return _guess_means(seed, fast=True)
+
+
+def guess_fallback_fast(seed: int) -> tuple:
+    """The batched probe with the geometric-sampler mirror forced off."""
+    from repro.dram import faults
+
+    saved = faults._MIRROR_OK
+    faults._MIRROR_OK = False
+    try:
+        return _guess_means(seed, fast=True)
+    finally:
+        faults._MIRROR_OK = saved
 
 
 # ----------------------------------------------------------------------
@@ -617,6 +703,8 @@ CASES: List[DifferentialCase] = [
     DifferentialCase(
         "fastfaults-hbm2", fastfaults_hbm2_oracle, fastfaults_hbm2_fast
     ),
+    DifferentialCase("guess", guess_oracle, guess_fast),
+    DifferentialCase("guess-fallback", guess_oracle, guess_fallback_fast),
     DifferentialCase("bender", bender_oracle, bender_fast),
     DifferentialCase("bender-ddr5", bender_ddr5_oracle, bender_ddr5_fast),
     DifferentialCase("bender-hbm2", bender_hbm2_oracle, bender_hbm2_fast),

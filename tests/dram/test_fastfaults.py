@@ -7,9 +7,15 @@ geometric-sampler routes (searchsorted run tables and the direct
 ``rng.geometric`` fallback).
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.dram import faults, fastfaults, traps
 from repro.dram.faults import (
     Condition,
@@ -22,7 +28,6 @@ from repro.dram.fastfaults import (
     _attach_run_tables,
     _trap_column,
     _TrapPlan,
-    build_bank_state,
 )
 from repro.dram.traps import Trap, sample_occupancy_series
 from repro.errors import ConfigurationError
@@ -51,7 +56,7 @@ def make_params(**overrides) -> VrdModelParams:
 
 def make_state(params=None, rows=ROWS) -> BankVrdState:
     params = params or make_params()
-    return build_bank_state(params, ROW_BITS, SEED, MODULE, BANK, rows)
+    return BankVrdState(params, ROW_BITS, SEED, MODULE, BANK, rows)
 
 
 def make_process(row: int, params=None) -> RowVrdProcess:
@@ -181,38 +186,73 @@ class TestTrapColumnMirror:
         reference = sample_occupancy_series(trap, 300, derive(4, "direct"))
         np.testing.assert_array_equal(fast, reference)
 
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_short_walk_matches_reference_columns(self, n):
+        plans = [
+            _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
+            for trap in self.EDGE_TRAPS
+        ]
+        fast_rng = derive(5, "short", n)
+        fast = fastfaults._short_occupancy(plans, n, fast_rng)
+        ref_rng = derive(5, "short", n)
+        reference = np.stack(
+            [sample_occupancy_series(trap, n, ref_rng) for trap in self.EDGE_TRAPS],
+            axis=1,
+        )
+        np.testing.assert_array_equal(fast, reference)
+        assert fast.flags.c_contiguous
+        # Same draws consumed: both streams continue identically.
+        assert fast_rng.random() == ref_rng.random()
+
+    def test_tiny_probability_memory_scales_with_length(self):
+        """At the 1e-9 clamp one run lasts ~1e9 steps; both samplers must
+        still return 5 values within a 1 GiB address-space limit (memory
+        follows the requested length, not 1/p)."""
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from repro.dram.fastfaults import _TrapPlan, _attach_run_tables, _trap_column
+            from repro.dram.traps import Trap, sample_occupancy_series
+            from repro.rng import derive
+
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            trap = Trap(depth=0.2, p_occupy=1e-9, p_release=1.0)
+            plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
+            _attach_run_tables([plan])
+            reference = sample_occupancy_series(trap, 5, derive(3, "trapcol", 5))
+            fast = _trap_column(plan, 5, derive(3, "trapcol", 5))
+            assert reference.shape == (5,)
+            assert np.array_equal(fast, reference)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+
 
 class TestMirrorGate:
     def test_forced_fallback_still_bit_identical(self, monkeypatch):
         monkeypatch.setattr(faults, "_MIRROR_OK", False)
         state = make_state()
+        bulk = state.latent_series_bulk(REF, 150)
         assert all(
             plan.table_occ is None
             for plans in state._row_plans
             for plan in plans
         )
-        bulk = state.latent_series_bulk(REF, 150)
         for index, row in enumerate(ROWS):
             np.testing.assert_array_equal(
                 bulk[index], make_process(row).latent_series(REF, 150)
             )
 
-    def test_env_var_overrides_probe(self, monkeypatch):
-        monkeypatch.setattr(faults, "_MIRROR_OK", None)
-        monkeypatch.setenv(faults.GEOMETRIC_MIRROR_ENV_VAR, "0")
-        assert faults.geometric_mirror_ok() is False
-        monkeypatch.setattr(faults, "_MIRROR_OK", None)
-        monkeypatch.setenv(faults.GEOMETRIC_MIRROR_ENV_VAR, "1")
-        assert faults.geometric_mirror_ok() is True
-
     def test_probe_result_cached_per_process(self, monkeypatch):
         monkeypatch.setattr(faults, "_MIRROR_OK", None)
-        monkeypatch.delenv(faults.GEOMETRIC_MIRROR_ENV_VAR, raising=False)
         first = faults.geometric_mirror_ok()
         assert faults._MIRROR_OK is first
         assert faults.geometric_mirror_ok() is first
-        # The legacy module attribute stays readable through the facade.
-        assert faults._BULK_UNIFORM_OK is first
 
 
 class TestModuleFacade:
