@@ -305,15 +305,42 @@ class ConditionFactors:
 
 
 class _ConditionState:
-    """Sequential latent state of one row under one condition."""
+    """Sequential latent state of one row under one canonical condition.
 
-    __slots__ = ("occupancy", "latent_rdt", "rng", "measurement_index")
+    The condition's per-row constants are resolved once, here, from the
+    memoized factors, so a fault clock step only draws and accumulates:
+    each trap's ``log1p`` depth term and ``(p_occupy, p_release)`` pair,
+    the ``base_rdt * rdt_factor`` level, the first-flip ``scale`` and the
+    per-cell ``1 + margin`` scales with the weakest cell's index.
+    """
 
-    def __init__(self, occupancy: List[bool], rng: np.random.Generator):
-        self.occupancy = occupancy
-        self.rng = rng
-        self.latent_rdt: float = math.nan
-        self.measurement_index: int = 0
+    __slots__ = (
+        "occupancy", "latent_rdt", "rng", "measurement_index",
+        "log_terms", "p_pairs", "base", "scale", "cell_scales", "weakest",
+    )
+
+    def __init__(self, process: "RowVrdProcess", condition: Condition):
+        module_id, bank, row = process.identity
+        self.rng = rng = derive(
+            process._seed, "vrd-seq", module_id, bank, row,
+            condition.pattern, str(condition.t_agg_on),
+            str(condition.temperature), str(condition.wordline_voltage),
+        )
+        factors = process.factors(condition)
+        traps = process.traps
+        self.log_terms = [
+            math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
+            for trap in traps
+        ]
+        self.p_pairs = [(trap.p_occupy, trap.p_release) for trap in traps]
+        self.base = process.base_rdt * factors.rdt_factor
+        self.scale = 1.0 + factors.first_flip_margin
+        margins = process._cell_margins_for(condition.pattern)
+        self.cell_scales = 1.0 + margins
+        self.weakest = int(np.argmin(margins))
+        self.occupancy = [trap.sample_initial(rng) for trap in traps]
+        self.measurement_index = 0
+        process._refresh_latent(self)
 
 
 class RowVrdProcess:
@@ -477,6 +504,7 @@ class RowVrdProcess:
         self.uncharged_penalty = float(rng.uniform(0.03, 0.15))
 
         self._condition_states: Dict[Condition, _ConditionState] = {}
+        self._factors: Dict[Condition, ConditionFactors] = {}
 
     # ------------------------------------------------------------------
     # Condition factors
@@ -505,8 +533,12 @@ class RowVrdProcess:
         return self.weak_cell_margins + np.where(charged, 0.0, self.uncharged_penalty)
 
     def factors(self, condition: Condition) -> ConditionFactors:
-        """Resolve the condition multipliers for this row."""
+        """Resolve the condition multipliers for this row (memoized per
+        canonical condition)."""
         condition = condition.canonical()
+        cached = self._factors.get(condition)
+        if cached is not None:
+            return cached
         pattern = condition.pattern
         undervolt = REFERENCE_WORDLINE_VOLTAGE - condition.wordline_voltage
         rdt_factor = (
@@ -530,11 +562,12 @@ class RowVrdProcess:
             * max(0.05, 1.0 + self.params.voltage_depth_coeff * undervolt)
         )
         margins = self._cell_margins_for(pattern)
-        return ConditionFactors(
+        cached = self._factors[condition] = ConditionFactors(
             rdt_factor=float(rdt_factor),
             depth_factor=float(depth_factor),
             first_flip_margin=float(margins.min()),
         )
+        return cached
 
     # ------------------------------------------------------------------
     # Fast path: vectorized measurement series
@@ -570,49 +603,46 @@ class RowVrdProcess:
     # ------------------------------------------------------------------
 
     def _state(self, condition: Condition) -> _ConditionState:
-        condition = condition.canonical()
-        state = self._condition_states.get(condition)
+        """The chain of ``condition``'s canonical form. A raw condition is
+        stored as an alias of that same state, so ``canonical()`` runs only
+        on its first lookup."""
+        states = self._condition_states
+        state = states.get(condition)
         if state is None:
-            module_id, bank, row = self.identity
-            rng = derive(
-                self._seed, "vrd-seq", module_id, bank, row,
-                condition.pattern, str(condition.t_agg_on),
-                str(condition.temperature), str(condition.wordline_voltage),
-            )
-            occupancy = [trap.sample_initial(rng) for trap in self.traps]
-            state = _ConditionState(occupancy, rng)
-            self._refresh_latent(condition, state)
-            self._condition_states[condition] = state
+            canonical = condition.canonical()
+            state = states.get(canonical)
+            if state is None:
+                state = states[canonical] = _ConditionState(self, canonical)
+            states[condition] = state
         return state
 
-    def _refresh_latent(self, condition: Condition, state: _ConditionState) -> None:
-        factors = self.factors(condition)
+    def _refresh_latent(self, state: _ConditionState) -> None:
         log_mult = 0.0
-        for trap, occupied in zip(self.traps, state.occupancy):
+        for occupied, term in zip(state.occupancy, state.log_terms):
             if occupied:
-                log_mult += math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
+                log_mult += term
         noise = math.exp(state.rng.normal(0.0, self.sigma_resid))
-        state.latent_rdt = (
-            self.base_rdt * factors.rdt_factor * math.exp(log_mult) * noise
-        )
+        state.latent_rdt = state.base * math.exp(log_mult) * noise
 
     def begin_measurement(self, condition: Condition) -> None:
-        """Advance the latent chain one measurement step (the fault clock)."""
-        condition = condition.canonical()
+        """Advance the latent chain one measurement step (the fault clock).
+
+        One ``rng.random(n_traps)`` array draw is the same stream as the
+        ``n_traps`` scalar :meth:`Trap.step` draws it replaces.
+        """
         state = self._state(condition)
+        uniforms = state.rng.random(len(state.p_pairs)).tolist()
         state.occupancy = [
-            trap.step(occupied, state.rng)
-            for trap, occupied in zip(self.traps, state.occupancy)
+            occupied != (u < pair[occupied])
+            for occupied, u, pair in zip(state.occupancy, uniforms, state.p_pairs)
         ]
-        self._refresh_latent(condition, state)
+        self._refresh_latent(state)
         state.measurement_index += 1
 
     def current_threshold(self, condition: Condition) -> float:
         """The hammer count at which the current measurement first flips."""
-        condition = condition.canonical()
         state = self._state(condition)
-        factors = self.factors(condition)
-        return state.latent_rdt * (1.0 + factors.first_flip_margin)
+        return state.latent_rdt * state.scale
 
     def trial_flips(
         self,
@@ -629,18 +659,15 @@ class RowVrdProcess:
         """
         if effective_hammers < 0:
             raise ConfigurationError("effective hammer count must be >= 0")
-        condition = condition.canonical()
         state = self._state(condition)
-        margins = self._cell_margins_for(condition.pattern)
-        weakest = int(np.argmin(margins))
+        weakest = state.weakest
         flips: List[int] = []
-        for index, (bit, margin) in enumerate(
-            zip(self.weak_cell_bits, margins)
+        for index, (bit, scale) in enumerate(
+            zip(self.weak_cell_bits.tolist(), state.cell_scales.tolist())
         ):
-            bit = int(bit)
             if already_flipped is not None and bit in already_flipped:
                 continue
-            threshold = state.latent_rdt * (1.0 + margin)
+            threshold = state.latent_rdt * scale
             if index != weakest:
                 jitter = math.exp(
                     abs(state.rng.normal(0.0, self.params.cell_jitter_sigma))
@@ -678,24 +705,14 @@ class RowVrdProcess:
         """
         if effective_hammers < 0:
             raise ConfigurationError("effective hammer count must be >= 0")
-        condition = condition.canonical()
         state = self._state(condition)
-        factors = self.factors(condition)
-        margins = self._cell_margins_for(condition.pattern)
-        weakest = int(np.argmin(margins))
-        n_cells = len(margins)
-        margins_plus1 = 1.0 + margins
-        traps = self.traps
-        n_traps = len(traps)
-        p_occupy = [trap.p_occupy for trap in traps]
-        p_release = [trap.p_release for trap in traps]
-        # Pure per-trap function of (depth, factors); the scalar refresh
-        # recomputes it every measurement with these exact operations.
-        log_terms = [
-            math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
-            for trap in traps
-        ]
-        base = self.base_rdt * factors.rdt_factor
+        weakest = state.weakest
+        margins_plus1 = state.cell_scales
+        n_cells = len(margins_plus1)
+        p_pairs = state.p_pairs
+        log_terms = state.log_terms
+        base = state.base
+        n_traps = len(p_pairs)
         sigma_resid = self.sigma_resid
         jitter_sigma = self.params.cell_jitter_sigma
         rng = state.rng
@@ -710,9 +727,7 @@ class RowVrdProcess:
             log_mult = 0.0
             for index in range(n_traps):
                 occupied = occupancy[index]
-                if u[index] < (
-                    p_release[index] if occupied else p_occupy[index]
-                ):
+                if u[index] < p_pairs[index][occupied]:
                     occupied = not occupied
                     occupancy[index] = occupied
                 if occupied:

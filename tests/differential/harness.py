@@ -17,6 +17,7 @@ engine              serial ``Campaign.run``             ``CampaignEngine`` (2 jo
 memsim              ``MemorySystem.run``                ``memsim.fastcore.run_fast``
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
 guess               per-row guess-stream means          ``probe_guess_means`` batch
+clock               ``BankVrdState`` sequential twin    ``RowVrdProcess`` fault clock
 bender              scalar ``Interpreter`` trials       compiled trial replay
 ecc                 per-codeword encode/decode          ``encode_batch``/``decode_batch``
 adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
@@ -31,6 +32,8 @@ workload with ``VRD_TIMING_CHECK=1`` forced on versus off, proving the
 opt-in timing validation pass never perturbs a single bit. The
 ``guess-fallback`` pair reruns the guess pair with the geometric-sampler
 mirror forced off, so the direct ``rng.geometric`` route stays exact too.
+The ``clock`` pair runs on a DDR4, a DDR5 and an HBM2 catalog device plus
+a zero-trap model.
 """
 
 from __future__ import annotations
@@ -322,6 +325,120 @@ def guess_fallback_fast(seed: int) -> tuple:
         return _guess_means(seed, fast=True)
     finally:
         faults._MIRROR_OK = saved
+
+
+# ----------------------------------------------------------------------
+# clock: packed sequential twin vs the per-row scalar fault clock
+# ----------------------------------------------------------------------
+
+_CLOCK_ROUNDS = 6
+_CLOCK_SERIES_N = 8
+
+
+def _clock_models(seed: int):
+    """One fault model per protocol, plus one whose rows carry no traps."""
+    from repro.chips import build_module
+    from repro.dram.faults import ModuleFaultModel, VrdModelParams
+
+    models = [
+        (module_id, build_module(module_id, seed=seed).fault_model)
+        for module_id in ("M1", "D0", "Chip0")
+    ]
+    trapless = VrdModelParams(
+        mean_rdt=3000.0, trap_count_mean=0.0, rare_trap_prob=0.0,
+        big_trap_prob=0.0,
+    )
+    models.append(("trapless", ModuleFaultModel(trapless, 8192, seed, "CLK")))
+    return models
+
+
+def _clock_conditions(pick: random.Random):
+    """Two conditions plus a raw one that canonicalizes onto the first, so
+    the fast side's alias must share the first condition's chain."""
+    from repro.dram.faults import Condition
+
+    first = Condition("checkered0", t_agg_on=36.0, temperature=50.0)
+    second = Condition(
+        pick.choice(_GUESS_PATTERNS), t_agg_on=pick.choice([7.2, 120.0]),
+        temperature=80.0,
+    )
+    alias = Condition("checkered0", t_agg_on=36.04, temperature=50.2)
+    assert alias != first and alias.canonical() == first
+    return first, second, alias
+
+
+def _clock_run(seed: int, fast: bool) -> tuple:
+    outcome = []
+    for name, model in _clock_models(seed):
+        pick = random.Random(seed + 9)
+        rows = sorted(pick.sample(range(1024), 3))
+        conditions = _clock_conditions(pick)
+        if fast:
+            def begin(row, condition):
+                model.process(0, row).begin_measurement(condition)
+
+            def threshold(row, condition):
+                return model.process(0, row).current_threshold(condition)
+
+            def flips(row, condition, drive, already):
+                return model.process(0, row).trial_flips(
+                    condition, drive, already_flipped=already
+                )
+
+            def series(row, condition, drive, n):
+                process = model.process(0, row)
+                matrix = process.trial_flip_series(condition, drive, n)
+                bits = process.weak_cell_bits.tolist()
+                return [
+                    [bit for bit, hit in zip(bits, trial) if hit]
+                    for trial in matrix.tolist()
+                ]
+        else:
+            twin = model.bank_state(0, rows)
+            begin = twin.begin_measurement
+            threshold = twin.current_threshold
+
+            def flips(row, condition, drive, already):
+                return twin.trial_flips(
+                    row, condition, drive, already_flipped=already
+                )
+
+            def series(row, condition, drive, n):
+                trials = []
+                for _ in range(n):
+                    twin.begin_measurement(row, condition)
+                    trials.append(twin.trial_flips(row, condition, drive))
+                return trials
+
+        flipped = {}
+        for _ in range(_CLOCK_ROUNDS):
+            for row in rows:
+                for condition in conditions:
+                    begin(row, condition)
+                    value = threshold(row, condition)
+                    drive = value * pick.choice([0.9, 1.0, 1.4])
+                    already = flipped.setdefault(
+                        (row, condition.canonical()), set()
+                    )
+                    hits = flips(row, condition, drive, already)
+                    already.update(hits)
+                    outcome.append((name, row, value, tuple(hits)))
+        for row in rows:
+            condition = pick.choice(conditions)
+            drive = threshold(row, condition) * pick.choice([1.0, 1.5])
+            trials = series(row, condition, drive, _CLOCK_SERIES_N)
+            begin(row, condition)
+            after = threshold(row, condition)
+            outcome.append((name, row, tuple(map(tuple, trials)), after))
+    return tuple(outcome)
+
+
+def clock_oracle(seed: int) -> tuple:
+    return _clock_run(seed, fast=False)
+
+
+def clock_fast(seed: int) -> tuple:
+    return _clock_run(seed, fast=True)
 
 
 # ----------------------------------------------------------------------
@@ -705,6 +822,7 @@ CASES: List[DifferentialCase] = [
     ),
     DifferentialCase("guess", guess_oracle, guess_fast),
     DifferentialCase("guess-fallback", guess_oracle, guess_fallback_fast),
+    DifferentialCase("clock", clock_oracle, clock_fast),
     DifferentialCase("bender", bender_oracle, bender_fast),
     DifferentialCase("bender-ddr5", bender_ddr5_oracle, bender_ddr5_fast),
     DifferentialCase("bender-hbm2", bender_hbm2_oracle, bender_hbm2_fast),

@@ -1,10 +1,14 @@
 """Property-based tests on the VRD fault model's invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.faults import Condition, RowVrdProcess, VrdModelParams
+from repro.dram.traps import _MAX_P, _MIN_P, Trap
+from repro.rng import derive
 
 
 def make_process(seed=7):
@@ -107,3 +111,68 @@ def test_weak_cell_margins_sorted_and_growing():
     nonzero = gaps[gaps > 0]
     if nonzero.size >= 2:
         assert nonzero[-1] > nonzero[0]
+
+
+#: The whole ``Trap`` domain, with the sampler clamp edges and depths that
+#: the condition's depth factor scales past the 0.95 cap drawn explicitly.
+trap_lists = st.lists(
+    st.builds(
+        Trap,
+        depth=st.one_of(
+            st.sampled_from([0.9, 0.95, 0.99]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+        p_occupy=st.one_of(
+            st.sampled_from([_MIN_P, _MAX_P, 1.0]),
+            st.floats(0.0, 1.0, exclude_min=True),
+        ),
+        p_release=st.one_of(
+            st.sampled_from([_MIN_P, _MAX_P, 1.0]),
+            st.floats(0.0, 1.0, exclude_min=True),
+        ),
+    ),
+    max_size=6,
+)
+
+
+@given(traps=trap_lists, condition=conditions, steps=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_clock_matches_trap_step_reference(traps, condition, steps):
+    """``steps`` fault-clock ticks equal, bit for bit, a reference loop of
+    scalar ``Trap.step`` draws plus the per-step latent arithmetic: the
+    clock's single uniform-array draw per step and its once-resolved log
+    terms change no value."""
+    process = make_process()
+    process.traps = traps
+    canon = condition.canonical()
+    factors = process.factors(condition)
+    module_id, bank, row = process.identity
+    rng = derive(
+        process._seed, "vrd-seq", module_id, bank, row, canon.pattern,
+        str(canon.t_agg_on), str(canon.temperature),
+        str(canon.wordline_voltage),
+    )
+    occupancy = [trap.sample_initial(rng) for trap in traps]
+
+    def threshold():
+        log_mult = 0.0
+        for trap, occupied in zip(traps, occupancy):
+            if occupied:
+                log_mult += math.log1p(
+                    -min(trap.depth * factors.depth_factor, 0.95)
+                )
+        noise = math.exp(rng.normal(0.0, process.sigma_resid))
+        latent = (
+            process.base_rdt * factors.rdt_factor * math.exp(log_mult) * noise
+        )
+        return latent * (1.0 + factors.first_flip_margin)
+
+    expected = [threshold()]
+    observed = [process.current_threshold(condition)]
+    for _ in range(steps):
+        occupancy = [trap.step(occupied, rng)
+                     for trap, occupied in zip(traps, occupancy)]
+        expected.append(threshold())
+        process.begin_measurement(condition)
+        observed.append(process.current_threshold(condition))
+    assert observed == expected
